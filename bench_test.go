@@ -247,7 +247,8 @@ func BenchmarkSweepVsIndependentChecks(b *testing.B) {
 // BenchmarkSweepPrefixSnapshots measures the schedule-prefix snapshot
 // tier on its headline workload: a full gc version × level sweep, where
 // sibling levels share long canonical-schedule prefixes. "cold" disables
-// the tier; "snapshot" is the default engine. Both run serially (one
+// the compile cache and with it the tier, so every build runs the full
+// pipeline; "snapshot" is the default engine. Both run serially (one
 // worker) so the reported passes/op and skipped/op are deterministic —
 // byte-identical reports, ~quarter fewer pass executions.
 func BenchmarkSweepPrefixSnapshots(b *testing.B) {
@@ -257,7 +258,7 @@ func BenchmarkSweepPrefixSnapshots(b *testing.B) {
 		name string
 		opts []pokeholes.Option
 	}{
-		{"cold", []pokeholes.Option{pokeholes.WithWorkers(1), pokeholes.WithOptSnapshots(false)}},
+		{"cold", []pokeholes.Option{pokeholes.WithWorkers(1), pokeholes.WithCompileCache(0)}},
 		{"snapshot", []pokeholes.Option{pokeholes.WithWorkers(1)}},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
@@ -280,8 +281,10 @@ func BenchmarkSweepPrefixSnapshots(b *testing.B) {
 // BenchmarkScheduleReducePrefixSnapshots measures the tier on ddmin's
 // probe stream: every ScheduleReduce probe is an explicit schedule sharing
 // prefixes with earlier probes, so a snapshot-warm engine optimizes only
-// suffixes. The warming Check runs outside the timer; passes/op counts
-// only the reduction's own optimizer work.
+// suffixes. "cold" disables the compile cache, so every probe recompiles
+// from scratch: the full-recompile baseline. The warming Check runs
+// outside the timer; passes/op counts only the reduction's own optimizer
+// work.
 func BenchmarkScheduleReducePrefixSnapshots(b *testing.B) {
 	cfg := pokeholes.Config{Family: pokeholes.GC, Version: "trunk", Level: "O2"}
 	prog, report := findViolatingSeed(b, cfg)
@@ -291,7 +294,7 @@ func BenchmarkScheduleReducePrefixSnapshots(b *testing.B) {
 		name string
 		opts []pokeholes.Option
 	}{
-		{"cold", []pokeholes.Option{pokeholes.WithWorkers(1), pokeholes.WithOptSnapshots(false)}},
+		{"cold", []pokeholes.Option{pokeholes.WithWorkers(1), pokeholes.WithCompileCache(0)}},
 		{"snapshot", []pokeholes.Option{pokeholes.WithWorkers(1)}},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
@@ -421,6 +424,43 @@ func BenchmarkCheckCachedVsCold(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := eng.Check(context.Background(), prog, cfg); err != nil {
 				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkStoreColdVsDiskLoad measures the artifact-store trade: a cold
+// compilation (frontend + backend) against a disk load of the same build
+// (container decode) from a pre-warmed store. Each iteration uses a fresh
+// engine so the memory cache serves neither side; the only difference is
+// where the build comes from.
+func BenchmarkStoreColdVsDiskLoad(b *testing.B) {
+	ctx := context.Background()
+	cfg := pokeholes.Config{Family: pokeholes.GC, Version: "trunk", Level: "O2"}
+	prog := pokeholes.GenerateProgram(7)
+	dir := b.TempDir()
+	warm := pokeholes.NewEngine(pokeholes.WithArtifactStore(dir))
+	if serr := warm.Stats().StoreError; serr != "" {
+		b.Fatalf("artifact store: %s", serr)
+	}
+	if _, err := warm.Compile(ctx, prog, cfg); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("cold_compile", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := pokeholes.NewEngine().Compile(ctx, prog, cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("disk_load", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			eng := pokeholes.NewEngine(pokeholes.WithArtifactStore(dir))
+			if _, err := eng.Compile(ctx, prog, cfg); err != nil {
+				b.Fatal(err)
+			}
+			if n := eng.Stats().Compiles; n != 0 {
+				b.Fatalf("disk_load iteration compiled %d times, want 0", n)
 			}
 		}
 	})

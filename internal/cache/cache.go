@@ -9,6 +9,8 @@ package cache
 import (
 	"container/list"
 	"context"
+	"fmt"
+	"runtime/debug"
 	"sync"
 )
 
@@ -39,6 +41,20 @@ type flight[V any] struct {
 	// coalesced waiters with live contexts retry (one of them becomes the
 	// next leader) instead of inheriting a stranger's cancellation.
 	abandoned bool
+}
+
+// PanicError is the error a computation that panicked completes its
+// flight with: the leader and every waiter coalesced onto it receive it
+// instead of the panic, so the key is never left in flight. Error omits
+// the stack, since error strings reach HTTP response bodies; log Stack
+// where the failure is diagnosed.
+type PanicError struct {
+	Value any    // the value passed to panic
+	Stack []byte // the panicking goroutine's stack
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("cache: compute panicked: %v", e.Value)
 }
 
 // New returns an empty cache holding at most capacity entries (unbounded
@@ -102,7 +118,8 @@ func (c *Cache[K, V]) GetOrCompute(key K, fn func() (V, error)) (V, error) {
 // context being cancelled is different: it says nothing about the key, so
 // waiters with live contexts do not inherit it; one of them takes over
 // and recomputes (per-request deadlines stay per-request even under
-// coalescing).
+// coalescing). A compute that panics fails like a genuine error: the
+// leader and its waiters get a *PanicError and the next caller recomputes.
 func (c *Cache[K, V]) GetOrComputeCtx(ctx context.Context, key K, fn func() (V, error)) (V, error) {
 	var zero V
 	for {
@@ -136,11 +153,21 @@ func (c *Cache[K, V]) GetOrComputeCtx(ctx context.Context, key K, fn func() (V, 
 		c.inflight[key] = fl
 		c.mu.Unlock()
 
-		fl.val, fl.err = fn()
-		// Only the leader's own cancellation marks the flight abandoned: a
-		// compute that failed for a real reason while the leader stayed
-		// live must propagate, not be retried by every waiter in turn.
-		fl.abandoned = fl.err != nil && ctx.Err() != nil
+		func() {
+			// The flight must complete even if fn panics, or the key stays
+			// in flight and every waiter without a deadline blocks forever.
+			defer func() {
+				if r := recover(); r != nil {
+					fl.err = &PanicError{Value: r, Stack: debug.Stack()}
+				}
+			}()
+			fl.val, fl.err = fn()
+			// Only the leader's own cancellation marks the flight abandoned:
+			// a compute that failed for a real reason while the leader
+			// stayed live must propagate, not be retried by every waiter in
+			// turn.
+			fl.abandoned = fl.err != nil && ctx.Err() != nil
+		}()
 
 		c.mu.Lock()
 		delete(c.inflight, key)

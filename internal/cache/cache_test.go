@@ -3,6 +3,8 @@ package cache
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -258,6 +260,68 @@ func TestLeaderCancellationDoesNotPoisonWaiters(t *testing.T) {
 	}
 	if v, ok := c.Get("k"); !ok || v != 42 {
 		t.Errorf("takeover result not cached: %v %v", v, ok)
+	}
+}
+
+// TestLeaderPanicReleasesWaiters: a compute that panics must not poison
+// its key. The leader and a coalesced waiter whose context never expires
+// both get an error carrying the panic value and stack, the error is not
+// cached, and the next caller recomputes.
+func TestLeaderPanicReleasesWaiters(t *testing.T) {
+	c := New[string, int](0)
+	leaderIn := make(chan struct{})
+	leaderGo := make(chan struct{})
+
+	leaderErr := make(chan error, 1)
+	go func() {
+		defer func() {
+			if r := recover(); r != nil {
+				leaderErr <- fmt.Errorf("panic escaped GetOrCompute: %v", r)
+			}
+		}()
+		_, err := c.GetOrCompute("k", func() (int, error) {
+			close(leaderIn)
+			<-leaderGo
+			panic("pass exploded")
+		})
+		leaderErr <- err
+	}()
+	<-leaderIn
+
+	waiterErr := make(chan error, 1)
+	go func() {
+		_, err := c.GetOrComputeCtx(context.Background(), "k", func() (int, error) {
+			t.Error("waiter must coalesce onto the panicking leader, not compute")
+			return 0, nil
+		})
+		waiterErr <- err
+	}()
+	// A coalescing waiter counts a hit once it holds the flight.
+	for hits, _ := c.Stats(); hits == 0; hits, _ = c.Stats() {
+		runtime.Gosched()
+	}
+	close(leaderGo)
+
+	for _, w := range []struct {
+		who string
+		ch  chan error
+	}{{"leader", leaderErr}, {"waiter", waiterErr}} {
+		select {
+		case err := <-w.ch:
+			var pe *PanicError
+			if !errors.As(err, &pe) || pe.Value != "pass exploded" || len(pe.Stack) == 0 {
+				t.Errorf("%s err = %v, want a *PanicError carrying the panic value and stack", w.who, err)
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("%s still blocked 1s after the leader panicked", w.who)
+		}
+	}
+	if c.Len() != 0 {
+		t.Errorf("panicked computation was cached: len = %d, want 0", c.Len())
+	}
+	v, err := c.GetOrCompute("k", func() (int, error) { return 9, nil })
+	if err != nil || v != 9 {
+		t.Errorf("recompute after panic: %v %v", v, err)
 	}
 }
 

@@ -236,19 +236,6 @@ func CompileFrom(m *ir.Module, cfg Config, o Options) (*Result, error) {
 	return res, nil
 }
 
-// PipelineLength returns the number of pass executions a full compilation
-// of prog at cfg would perform (the bisection upper bound).
-func PipelineLength(prog *minic.Program, cfg Config, disabled map[string]bool) (int, error) {
-	m, err := ir.Lower(prog)
-	if err != nil {
-		return 0, err
-	}
-	if cfg.Level == "O0" {
-		return 0, nil
-	}
-	return opt.CountExecutions(m, Pipeline(cfg), disabled), nil
-}
-
 // PassNames lists the distinct pass names of cfg's pipeline, in order of
 // first appearance: the flag-disable triage search space.
 func PassNames(cfg Config) []string {

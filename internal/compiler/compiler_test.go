@@ -223,10 +223,11 @@ func TestLineCoverageShape(t *testing.T) {
 func TestBisectAndDisableKnobs(t *testing.T) {
 	prog := minic.MustParse(testPrograms[0])
 	cfg := Config{Family: CL, Version: "trunk", Level: "O2"}
-	n, err := PipelineLength(prog, cfg, nil)
+	full, err := Compile(prog, cfg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	n := full.PipelineExecutions
 	if n < 5 {
 		t.Fatalf("pipeline too short: %d", n)
 	}

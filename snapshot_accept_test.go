@@ -4,7 +4,10 @@ package pokeholes_test
 // snapshot-warm engine must produce byte-identical results to a cold,
 // from-scratch engine — across Sweep grids, triage (flag search and
 // bisection), and ScheduleReduce, at 1 and 8 workers — while executing
-// measurably fewer optimizer passes.
+// measurably fewer optimizer passes. The cold reference is a cache-disabled
+// engine (WithCompileCache(0)): the tier lives in the compile cache, so
+// that engine runs every build through the snapshot-free compiler.Optimize
+// path.
 
 import (
 	"bytes"
@@ -16,7 +19,7 @@ import (
 
 // TestSnapshotSweepByteIdentical pins the tier's hard constraint on the
 // hottest path: full version × level sweeps of both families, at 1 and 8
-// workers, produce reports byte-identical to a snapshot-disabled engine's
+// workers, produce reports byte-identical to a cache-disabled engine's
 // — and the serial snapshot engine demonstrably skips prefix work (for
 // the gc grid, at least a quarter of all pass executions, the sharing the
 // level schedules' common prefixes buy).
@@ -26,13 +29,13 @@ func TestSnapshotSweepByteIdentical(t *testing.T) {
 		mx := pokeholes.FullMatrix(fam)
 		for _, seed := range []int64{7, 56} {
 			prog := pokeholes.GenerateProgram(seed)
-			cold := pokeholes.NewEngine(pokeholes.WithWorkers(1), pokeholes.WithOptSnapshots(false))
+			cold := pokeholes.NewEngine(pokeholes.WithWorkers(1), pokeholes.WithCompileCache(0))
 			want, err := cold.Sweep(ctx, prog, mx)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if s := cold.Stats(); s.PassesSkipped != 0 || s.SnapshotHits != 0 {
-				t.Fatalf("snapshot-disabled engine skipped passes: %+v", s)
+				t.Fatalf("cache-disabled engine skipped passes: %+v", s)
 			}
 			for _, workers := range []int{1, 8} {
 				warm := pokeholes.NewEngine(pokeholes.WithWorkers(workers))
@@ -87,7 +90,7 @@ func TestSnapshotTriageByteIdentical(t *testing.T) {
 		triaged := 0
 		for seed := int64(1000); seed < 1040 && triaged < 2; seed++ {
 			prog := pokeholes.GenerateProgram(seed)
-			cold := pokeholes.NewEngine(pokeholes.WithOptSnapshots(false))
+			cold := pokeholes.NewEngine(pokeholes.WithCompileCache(0))
 			rep, err := cold.Check(ctx, prog, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -121,11 +124,13 @@ func TestSnapshotTriageByteIdentical(t *testing.T) {
 // TestSnapshotScheduleReduceByteIdentical: ddmin reductions on a
 // snapshot-warm engine return the identical minimal schedule and probe
 // count as on a cold engine, at 1 and 8 workers, while the probes share
-// prefixes through the snapshot tier.
+// prefixes through the snapshot tier and so run strictly fewer passes.
 func TestSnapshotScheduleReduceByteIdentical(t *testing.T) {
 	ctx := context.Background()
 	prog := pokeholes.GenerateProgram(schedSplitSeed)
-	reduceAll := func(eng *pokeholes.Engine) (scheds []string, probes []int) {
+	// passes counts the reductions' optimizer work only, not the Check
+	// that finds the violations.
+	reduceAll := func(eng *pokeholes.Engine) (scheds []string, probes []int, passes int64) {
 		rep, err := eng.Check(ctx, prog, schedCfg)
 		if err != nil {
 			t.Fatal(err)
@@ -133,6 +138,7 @@ func TestSnapshotScheduleReduceByteIdentical(t *testing.T) {
 		if len(rep.Violations) == 0 {
 			t.Fatalf("seed %d has no violations", schedSplitSeed)
 		}
+		before := eng.Stats().PassesRun
 		for _, v := range rep.Violations {
 			red, err := eng.ScheduleReduce(ctx, prog, schedCfg, v)
 			if err != nil {
@@ -141,12 +147,12 @@ func TestSnapshotScheduleReduceByteIdentical(t *testing.T) {
 			scheds = append(scheds, red.Schedule.String())
 			probes = append(probes, red.Probes)
 		}
-		return scheds, probes
+		return scheds, probes, eng.Stats().PassesRun - before
 	}
-	coldScheds, coldProbes := reduceAll(pokeholes.NewEngine(pokeholes.WithOptSnapshots(false)))
+	coldScheds, coldProbes, coldPasses := reduceAll(pokeholes.NewEngine(pokeholes.WithCompileCache(0)))
 	for _, workers := range []int{1, 8} {
 		warm := pokeholes.NewEngine(pokeholes.WithWorkers(workers))
-		scheds, probes := reduceAll(warm)
+		scheds, probes, passes := reduceAll(warm)
 		for i := range coldScheds {
 			if scheds[i] != coldScheds[i] || probes[i] != coldProbes[i] {
 				t.Errorf("workers %d violation %d: (%q, %d probes) differs from cold (%q, %d probes)",
@@ -155,6 +161,10 @@ func TestSnapshotScheduleReduceByteIdentical(t *testing.T) {
 		}
 		if s := warm.Stats(); s.PassesSkipped == 0 || s.SnapshotHits == 0 {
 			t.Errorf("workers %d: reduction probes never resumed from a snapshot (%+v)", workers, s)
+		}
+		if passes >= coldPasses {
+			t.Errorf("workers %d: reductions ran %d passes, cold ran %d — want strictly fewer",
+				workers, passes, coldPasses)
 		}
 	}
 }
