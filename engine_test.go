@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro"
@@ -284,5 +285,27 @@ func TestMeasureSharesReference(t *testing.T) {
 	}
 	if got := eng.Stats().Traces; got != traces+1 {
 		t.Errorf("second Measure recorded %d traces, want exactly 1 more (O3 only)", got-traces)
+	}
+}
+
+// TestCheckReportsStackOverflow runs unbounded recursion through Check on
+// an engine without a compile cache, so no cache flight stands between the
+// VM and the caller: the check must fail with the VM's stack-overflow
+// error, not panic.
+func TestCheckReportsStackOverflow(t *testing.T) {
+	prog, err := pokeholes.ParseProgram(`
+int f(int n) {
+  if (n == 0) { return 0; }
+  return f(n - 1) + 1;
+}
+int main(void) { return f(100000); }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := pokeholes.NewEngine(pokeholes.WithCompileCache(0))
+	_, err = eng.Check(context.Background(), prog,
+		pokeholes.Config{Family: pokeholes.GC, Version: "trunk", Level: "O0"})
+	if err == nil || !strings.Contains(err.Error(), "vm: stack overflow in f") {
+		t.Fatalf("err = %v, want the VM's stack overflow", err)
 	}
 }

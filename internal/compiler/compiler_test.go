@@ -2,6 +2,7 @@ package compiler
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/debugger"
 	"repro/internal/ir"
@@ -128,6 +129,54 @@ func TestCompileBehaviourEquivalence(t *testing.T) {
 				t.Fatalf("program %d %s: behaviour differs\nref ret=%d ev=%v\ngot ret=%d ev=%v\nasm:\n%s",
 					pi, cfg, ref.Ret, ref.Events, got.Ret, got.Events, res.Exe.Prog)
 			}
+		}
+	}
+}
+
+// TestRecursiveCalleeCompilesEverywhere compiles a self-recursive callee
+// under every configuration of both families within a deadline: the
+// inliner must leave recursive callees alone instead of inlining copies of
+// them without end. Every build must still compute fib(10).
+func TestRecursiveCalleeCompilesEverywhere(t *testing.T) {
+	prog := minic.MustParse(`
+int fib(int n) {
+  if (n < 2) { return n; }
+  return fib(n - 1) + fib(n - 2);
+}
+int main(void) { return fib(10); }`)
+	type built struct {
+		cfg Config
+		res *Result
+		err error
+	}
+	cfgs := allConfigs()
+	out := make(chan built, len(cfgs)) // one slot per send: the sender never blocks
+	go func() {
+		for _, cfg := range cfgs {
+			res, err := Compile(prog, cfg, Options{})
+			out <- built{cfg, res, err}
+		}
+		close(out)
+	}()
+	deadline := time.After(30 * time.Second)
+	for n := 0; ; n++ {
+		select {
+		case b, ok := <-out:
+			if !ok {
+				return
+			}
+			if b.err != nil {
+				t.Fatalf("%s: %v", b.cfg, b.err)
+			}
+			obs, err := vm.Observe(b.res.Exe.Prog)
+			if err != nil {
+				t.Fatalf("%s: %v", b.cfg, err)
+			}
+			if obs.Ret != 55 {
+				t.Errorf("%s: fib(10) = %d, want 55", b.cfg, obs.Ret)
+			}
+		case <-deadline:
+			t.Fatalf("compiled %d of %d configurations before the deadline", n, len(cfgs))
 		}
 	}
 }

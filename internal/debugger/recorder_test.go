@@ -296,3 +296,27 @@ func BenchmarkRecorderTwoEnginesVsTwoRecords(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkRecord is one recording session of a fixed optimized binary
+// under one engine. Its B/op includes the VM's memory, which is paged, so
+// an execution pays only for the words it touches.
+func BenchmarkRecord(b *testing.B) {
+	prog := minic.MustParse(traceSrc)
+	res, err := compiler.Compile(prog, compiler.Config{
+		Family: compiler.GC, Version: "trunk", Level: "O2"}, compiler.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	gdb := NewGDB(compiler.DebuggerDefects("gdb"))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec, err := NewRecorder(res.Exe, RecordOpts{}, gdb)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := rec.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

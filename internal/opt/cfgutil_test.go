@@ -32,7 +32,7 @@ func ret(b *ir.Block) {
 //	b3: ret
 //	b4: br b1                  (unreachable, still a CFG predecessor of b1)
 //
-// and checks the dominator sets and the self-loop's natural loop.
+// and checks the dominator relation and the self-loop's natural loop.
 func TestDominatorsSelfLoopAndUnreachable(t *testing.T) {
 	f := &ir.Func{Name: "f", NTemp: 1}
 	b0 := f.NewBlock()
@@ -47,7 +47,17 @@ func TestDominatorsSelfLoopAndUnreachable(t *testing.T) {
 	ret(b3)
 	br(b4, b1)
 
-	dom := opt.Dominators(f)
+	dom := opt.NewDomTree(f)
+	// nDom is the size of b's dominator set: the blocks that dominate it.
+	nDom := func(b *ir.Block) int {
+		n := 0
+		for _, a := range f.Blocks {
+			if dom.Dominates(a, b) {
+				n++
+			}
+		}
+		return n
+	}
 	want := map[*ir.Block][]*ir.Block{
 		b0: {b0},
 		b1: {b0, b1},
@@ -56,22 +66,22 @@ func TestDominatorsSelfLoopAndUnreachable(t *testing.T) {
 	}
 	names := map[*ir.Block]string{b0: "b0", b1: "b1", b2: "b2", b3: "b3", b4: "b4"}
 	for b, doms := range want {
-		if len(dom[b]) != len(doms) {
-			t.Errorf("%s: dominator set size %d, want %d", names[b], len(dom[b]), len(doms))
+		if n := nDom(b); n != len(doms) {
+			t.Errorf("%s: dominator set size %d, want %d", names[b], n, len(doms))
 		}
 		for _, d := range doms {
-			if !dom[b][d] {
+			if !dom.Dominates(d, b) {
 				t.Errorf("%s: missing dominator %s", names[b], names[d])
 			}
 		}
 	}
-	// The unreachable block keeps the full (vacuous) set so the dataflow
-	// meet over its CFG successors stays well-defined.
-	if len(dom[b4]) != len(f.Blocks) {
-		t.Errorf("unreachable b4 has %d dominators, want all %d blocks", len(dom[b4]), len(f.Blocks))
+	// Dominance over the unreachable block is vacuous: every block
+	// dominates it.
+	if n := nDom(b4); n != len(f.Blocks) {
+		t.Errorf("unreachable b4 has %d dominators, want all %d blocks", n, len(f.Blocks))
 	}
 	// An unreachable predecessor must not leak into a reachable block's set.
-	if dom[b1][b4] {
+	if dom.Dominates(b4, b1) {
 		t.Error("b4 (unreachable) must not dominate b1")
 	}
 

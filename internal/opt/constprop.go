@@ -26,9 +26,13 @@ func (CCP) Name() string { return "ccp" }
 // Run implements Pass.
 func (CCP) Run(fn *ir.Func, ctx *Context) bool {
 	changed := false
+	// A fold rewrites operands, debug intrinsics and non-terminator
+	// instructions but never a branch target, so the CFG, and with it the
+	// dominator tree and the loops, stays fixed for the whole call.
+	dom := NewDomTree(fn)
+	loops := dom.loops()
 	for {
 		defs := singleDefs(fn)
-		dom := Dominators(fn)
 		var foldTemp = -1
 		var foldVal ir.Value
 		var foldBlock *ir.Block
@@ -62,7 +66,7 @@ func (CCP) Run(fn *ir.Func, ctx *Context) bool {
 		// debugger-friendly level folds more carefully and only trips on
 		// the nested-loop shape of the original report.
 		loopDepth := 0
-		for _, l := range FindLoops(fn) {
+		for _, l := range loops {
 			if l.Blocks[foldBlock] {
 				loopDepth++
 			}

@@ -109,7 +109,7 @@ func (CopyProp) Run(fn *ir.Func, ctx *Context) bool {
 	changed := false
 	for {
 		defs := singleDefs(fn)
-		dom := Dominators(fn)
+		dom := NewDomTree(fn)
 		progressed := false
 		for _, b := range fn.Blocks {
 			for i := 0; i < len(b.Instrs); i++ {

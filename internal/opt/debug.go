@@ -123,8 +123,7 @@ func replaceAllUses(fn *ir.Func, t int, repl ir.Value) int {
 // block, or in blocks strictly dominated by b. Replacing uses of a
 // single-static-definition register is only sound under this condition —
 // the definition may sit inside a loop with uses executing before it.
-func defDominatesUses(fn *ir.Func, dom map[*ir.Block]map[*ir.Block]bool,
-	b *ir.Block, idx, t int) bool {
+func defDominatesUses(fn *ir.Func, dom *DomTree, b *ir.Block, idx, t int) bool {
 	for _, bb := range fn.Blocks {
 		for i, in := range bb.Instrs {
 			if in.Op == ir.OpDbgVal {
@@ -145,7 +144,7 @@ func defDominatesUses(fn *ir.Func, dom map[*ir.Block]map[*ir.Block]bool,
 				}
 				continue
 			}
-			if !dom[bb][b] {
+			if !dom.Dominates(b, bb) {
 				return false
 			}
 		}

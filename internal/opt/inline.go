@@ -40,8 +40,9 @@ func (p Inline) RunModule(ctx *Context) bool {
 		if f.Opaque {
 			continue
 		}
-		// Repeat until no more inlinable calls in f (new calls can appear
-		// from inlined bodies; recursion is rejected, so this terminates).
+		// Repeat until no more inlinable calls in f. Inlined bodies can
+		// bring new calls, but never to a recursive callee or back into f:
+		// both are rejected, so this terminates.
 		for p.inlineOneCall(ctx, f, max) {
 			changed = true
 		}
@@ -71,7 +72,8 @@ func (p Inline) inlineOneCall(ctx *Context, caller *ir.Func, max int) bool {
 			if callee == nil || callee.Opaque || callee.Name == caller.Name {
 				continue
 			}
-			if instrCount(callee) > max || callsInto(callee, caller.Name, ctx.Mod, map[string]bool{}) {
+			if instrCount(callee) > max || callsInto(callee, caller.Name, ctx.Mod, map[string]bool{}) ||
+				callsInto(callee, callee.Name, ctx.Mod, map[string]bool{}) {
 				continue
 			}
 			p.doInline(ctx, caller, b, i, callee)
@@ -83,7 +85,9 @@ func (p Inline) inlineOneCall(ctx *Context, caller *ir.Func, max int) bool {
 }
 
 // callsInto reports whether f (transitively) calls target, which would make
-// inlining f into target a recursion hazard.
+// inlining f into target a recursion hazard. With target f itself it
+// reports whether f is recursive: each inlined copy of such a callee
+// brings a call back into its cycle.
 func callsInto(f *ir.Func, target string, m *ir.Module, seen map[string]bool) bool {
 	if seen[f.Name] {
 		return false

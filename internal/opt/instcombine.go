@@ -26,7 +26,7 @@ func (ic InstCombine) Run(fn *ir.Func, ctx *Context) bool {
 	for {
 		round := false
 		defs := singleDefs(fn)
-		dom := Dominators(fn)
+		dom := NewDomTree(fn)
 		for _, b := range fn.Blocks {
 			for i := 0; i < len(b.Instrs); i++ {
 				in := b.Instrs[i]

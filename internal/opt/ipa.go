@@ -46,7 +46,7 @@ func (p IPAPureConst) RunModule(ctx *Context) bool {
 			continue
 		}
 		uses := TempUseCounts(f)
-		dom := Dominators(f)
+		dom := NewDomTree(f)
 		for _, b := range f.Blocks {
 			for i := 0; i < len(b.Instrs); i++ {
 				in := b.Instrs[i]

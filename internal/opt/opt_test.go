@@ -553,10 +553,10 @@ int main(void) {
   return s;
 }`)
 	f := m.Func("main")
-	dom := Dominators(f)
+	dom := NewDomTree(f)
 	entry := f.Entry()
 	for _, b := range f.Blocks {
-		if !dom[b][entry] {
+		if !dom.Dominates(entry, b) {
 			t.Errorf("entry does not dominate b%d", b.ID)
 		}
 	}

@@ -27,10 +27,19 @@ type Frame struct {
 	RetReg  int // caller register receiving the return value (-1 none)
 }
 
+// Memory is paged: a page is allocated by the first non-zero store into
+// it, so an execution allocates only the memory it touches, while every
+// address it never wrote reads 0, exactly as in a zeroed ir.MemWords-word
+// memory.
+const (
+	pageBits  = 9
+	pageWords = 1 << pageBits
+	numPages  = (ir.MemWords + pageWords - 1) / pageWords
+)
+
 // Machine is a running VM instance.
 type Machine struct {
 	Prog    *asm.Program
-	Mem     []int64
 	PC      int
 	Frames  []*Frame
 	Events  []Event
@@ -42,6 +51,7 @@ type Machine struct {
 	gbase map[string]int64
 	sp    int64
 	bps   map[int]bool
+	pages [numPages]*[pageWords]int64
 }
 
 // ErrStepLimit is returned when execution exceeds the step budget.
@@ -56,7 +66,6 @@ const DefaultMaxStep = 4_000_000
 func New(prog *asm.Program) (*Machine, error) {
 	m := &Machine{
 		Prog:    prog,
-		Mem:     make([]int64, ir.MemWords),
 		gbase:   map[string]int64{},
 		sp:      ir.StackBase,
 		bps:     map[int]bool{},
@@ -65,19 +74,27 @@ func New(prog *asm.Program) (*Machine, error) {
 	addr := int64(ir.GlobalBase)
 	for _, g := range prog.Globals {
 		m.gbase[g.Name] = addr
-		copy(m.Mem[addr:], g.Init)
+		for i, v := range g.Init {
+			if a := addr + int64(i); a < ir.MemWords {
+				m.store(a, v)
+			}
+		}
 		addr += int64(g.Size)
 	}
 	mainFn := prog.Func("main")
 	if mainFn == nil {
 		return nil, fmt.Errorf("vm: no main")
 	}
-	m.pushFrame(mainFn, nil, -1, -1)
+	if err := m.pushFrame(mainFn, nil, -1, -1); err != nil {
+		return nil, err
+	}
 	m.PC = mainFn.Entry
 	return m, nil
 }
 
-func (m *Machine) pushFrame(f *asm.Func, args []int64, retPC, retReg int) *Frame {
+// pushFrame lays out f's slots on top of the stack, zeroes them and binds
+// args. It fails under the interpreter's condition for a stack overflow.
+func (m *Machine) pushFrame(f *asm.Func, args []int64, retPC, retReg int) error {
 	fr := &Frame{Fn: f, Regs: make([]int64, f.NTemp), Base: m.sp, RetPC: retPC, RetReg: retReg}
 	off := int64(0)
 	fr.SlotOff = make([]int64, len(f.Slots))
@@ -85,19 +102,54 @@ func (m *Machine) pushFrame(f *asm.Func, args []int64, retPC, retReg int) *Frame
 		fr.SlotOff[i] = fr.Base + off
 		off += int64(size)
 	}
-	for i := fr.Base; i < fr.Base+off && i < int64(len(m.Mem)); i++ {
-		m.Mem[i] = 0
+	if fr.Base+off >= ir.MemWords {
+		return fmt.Errorf("vm: stack overflow in %s", f.Name)
 	}
+	m.zero(fr.Base, fr.Base+off)
 	m.sp = fr.Base + off
 	// Arguments are materialised in the function's parameter slots, which
 	// are by construction the first slots of the frame (one per parameter).
 	for i, a := range args {
 		if i < len(fr.SlotOff) {
-			m.Mem[fr.SlotOff[i]] = a
+			m.store(fr.SlotOff[i], a)
 		}
 	}
 	m.Frames = append(m.Frames, fr)
-	return fr
+	return nil
+}
+
+// load reads the word at in-range address a.
+func (m *Machine) load(a int64) int64 {
+	if p := m.pages[a>>pageBits]; p != nil {
+		return p[a&(pageWords-1)]
+	}
+	return 0
+}
+
+// store writes v to in-range address a. Storing 0 into an absent page
+// leaves it absent: it reads 0 either way.
+func (m *Machine) store(a, v int64) {
+	p := m.pages[a>>pageBits]
+	if p == nil {
+		if v == 0 {
+			return
+		}
+		p = new([pageWords]int64)
+		m.pages[a>>pageBits] = p
+	}
+	p[a&(pageWords-1)] = v
+}
+
+// zero clears the in-range addresses [lo, hi).
+func (m *Machine) zero(lo, hi int64) {
+	for lo < hi {
+		off := lo & (pageWords - 1)
+		n := min(hi-lo, pageWords-off)
+		if p := m.pages[lo>>pageBits]; p != nil {
+			clear(p[off : off+n])
+		}
+		lo += n
+	}
 }
 
 // Frame returns the current activation record, or nil when halted.
@@ -130,7 +182,7 @@ func (m *Machine) ReadSlot(s int) (int64, bool) {
 	if fr == nil || s < 0 || s >= len(fr.SlotOff) {
 		return 0, false
 	}
-	return m.Mem[fr.SlotOff[s]], true
+	return m.load(fr.SlotOff[s]), true
 }
 
 // Continue resumes execution until the next armed breakpoint fires (it is
@@ -196,7 +248,7 @@ func (m *Machine) val(o asm.Operand) int64 {
 }
 
 func (m *Machine) checkAddr(a int64) error {
-	if a < 0 || a >= int64(len(m.Mem)) {
+	if a < 0 || a >= ir.MemWords {
 		return fmt.Errorf("vm: address out of range: %d", a)
 	}
 	return nil
@@ -247,7 +299,7 @@ func (m *Machine) Step() error {
 		if err := m.checkAddr(a); err != nil {
 			return err
 		}
-		v := m.Mem[a]
+		v := m.load(a)
 		if g := m.findGlobal(in.Global); g != nil && g.Volatile {
 			m.Events = append(m.Events, Event{Kind: "vload", Name: g.Name, Args: []int64{v}})
 		}
@@ -261,7 +313,7 @@ func (m *Machine) Step() error {
 		if in.Width != nil {
 			v = in.Width.Truncate(v)
 		}
-		m.Mem[a] = v
+		m.store(a, v)
 		if g := m.findGlobal(in.Global); g != nil && g.Volatile {
 			m.Events = append(m.Events, Event{Kind: "vstore", Name: g.Name, Args: []int64{v}})
 		}
@@ -270,7 +322,7 @@ func (m *Machine) Step() error {
 		if err := m.checkAddr(a); err != nil {
 			return err
 		}
-		fr.Regs[in.Rd] = m.Mem[a]
+		fr.Regs[in.Rd] = m.load(a)
 	case asm.OpStoreSlot:
 		a := fr.SlotOff[in.Slot] + m.val(in.Src)
 		if err := m.checkAddr(a); err != nil {
@@ -280,7 +332,7 @@ func (m *Machine) Step() error {
 		if in.Width != nil {
 			v = in.Width.Truncate(v)
 		}
-		m.Mem[a] = v
+		m.store(a, v)
 	case asm.OpAddrG:
 		fr.Regs[in.Rd] = m.gbase[in.Global] + m.val(in.Src)
 	case asm.OpAddrSlot:
@@ -290,8 +342,9 @@ func (m *Machine) Step() error {
 		if err := m.checkAddr(a); err != nil {
 			return err
 		}
-		fr.Regs[in.Rd] = m.Mem[a]
-		m.noteVolatile(a, "vload", m.Mem[a])
+		v := m.load(a)
+		fr.Regs[in.Rd] = v
+		m.noteVolatile(a, "vload", v)
 	case asm.OpStorePtr:
 		a := m.val(in.Src)
 		if err := m.checkAddr(a); err != nil {
@@ -301,7 +354,7 @@ func (m *Machine) Step() error {
 		if in.Width != nil {
 			v = in.Width.Truncate(v)
 		}
-		m.Mem[a] = v
+		m.store(a, v)
 		m.noteVolatile(a, "vstore", v)
 	case asm.OpCall:
 		args := make([]int64, len(in.Args))
@@ -316,7 +369,9 @@ func (m *Machine) Step() error {
 				fr.Regs[in.Rd] = 0
 			}
 		} else {
-			m.pushFrame(callee, args, next, in.Rd)
+			if err := m.pushFrame(callee, args, next, in.Rd); err != nil {
+				return err
+			}
 			next = callee.Entry
 		}
 	case asm.OpJmp:
@@ -373,7 +428,11 @@ func Observe(prog *asm.Program) (*ir.Observation, error) {
 		Globals: map[string][]int64{}, Steps: m.Steps}
 	for _, g := range prog.Globals {
 		base := m.gbase[g.Name]
-		obs.Globals[g.Name] = append([]int64(nil), m.Mem[base:base+int64(g.Size)]...)
+		vals := make([]int64, g.Size)
+		for i := range vals {
+			vals[i] = m.load(base + int64(i))
+		}
+		obs.Globals[g.Name] = vals
 	}
 	return obs, nil
 }

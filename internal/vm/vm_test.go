@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/asm"
 	"repro/internal/codegen"
+	"repro/internal/compiler"
 	"repro/internal/ir"
 	"repro/internal/minic"
 )
@@ -204,5 +206,86 @@ int main(void) {
 	sentinel := fmt.Errorf("sentinel")
 	if err := mach2.ForEachStop(func() error { return sentinel }); err != sentinel {
 		t.Errorf("err = %v, want the sentinel error", err)
+	}
+}
+
+// TestPagedMemory runs hand-assembled programs against the paged memory.
+// Global g occupies [GlobalBase, GlobalBase+2), so GlobalBase+2 sits on a
+// page the globals allocated, while StackBase/2 sits on a page nothing
+// touches before the program runs; only a non-zero store allocates it.
+func TestPagedMemory(t *testing.T) {
+	mov := func(a int64) *asm.Instr { return &asm.Instr{Op: asm.OpMov, Rd: 0, Src: asm.Const(a)} }
+	load := &asm.Instr{Op: asm.OpLoadPtr, Rd: 1, Src: asm.Reg(0)}
+	store := func(v int64) *asm.Instr {
+		return &asm.Instr{Op: asm.OpStorePtr, Rd: -1, Src: asm.Reg(0), Src2: asm.Const(v)}
+	}
+	ret := &asm.Instr{Op: asm.OpRet, Rd: -1, Src: asm.Reg(1)}
+	free := int64(ir.StackBase / 2)
+	outOfRange := func(a int64) string { return fmt.Sprintf("vm: address out of range: %d", a) }
+	cases := []struct {
+		name      string
+		code      []*asm.Instr
+		want      int64
+		freePaged bool // whether free's page is allocated after the run
+		wantErr   string
+	}{
+		{"untouched word after the globals", []*asm.Instr{mov(ir.GlobalBase + 2), load, ret}, 0, false, ""},
+		{"untouched absent page", []*asm.Instr{mov(free), load, ret}, 0, false, ""},
+		{"untouched word below the stack", []*asm.Instr{mov(ir.StackBase - 1), load, ret}, 0, false, ""},
+		{"global initialiser", []*asm.Instr{mov(ir.GlobalBase + 1), load, ret}, 8, false, ""},
+		{"store then load", []*asm.Instr{mov(free), store(42), load, ret}, 42, true, ""},
+		{"zero store to an absent page", []*asm.Instr{mov(free), store(0), load, ret}, 0, false, ""},
+		{"load at -1", []*asm.Instr{mov(-1), load, ret}, 0, false, outOfRange(-1)},
+		{"store at -1", []*asm.Instr{mov(-1), store(1), ret}, 0, false, outOfRange(-1)},
+		{"load at MemWords", []*asm.Instr{mov(ir.MemWords), load, ret}, 0, false, outOfRange(ir.MemWords)},
+		{"store at MemWords", []*asm.Instr{mov(ir.MemWords), store(1), ret}, 0, false, outOfRange(ir.MemWords)},
+	}
+	for _, c := range cases {
+		m, err := New(&asm.Program{
+			Instrs:  c.code,
+			Funcs:   []*asm.Func{{Name: "main", End: len(c.code), NTemp: 2, HasRet: true}},
+			Globals: []*asm.Global{{Name: "g", Size: 2, Init: []int64{7, 8}}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = m.Run()
+		switch {
+		case c.wantErr != "":
+			if err == nil || err.Error() != c.wantErr {
+				t.Errorf("%s: err = %v, want %q", c.name, err, c.wantErr)
+			}
+		case err != nil:
+			t.Errorf("%s: %v", c.name, err)
+		case m.Exit != c.want:
+			t.Errorf("%s: read %d, want %d", c.name, m.Exit, c.want)
+		case (m.pages[free>>pageBits] != nil) != c.freePaged:
+			t.Errorf("%s: page of %d allocated = %v, want %v", c.name, free, !c.freePaged, c.freePaged)
+		}
+	}
+}
+
+// TestStackOverflowIsAnError checks that unbounded recursion fails where
+// the interpreter does, with an error instead of an index panic.
+func TestStackOverflowIsAnError(t *testing.T) {
+	prog := minic.MustParse(`
+int f(int n) {
+  if (n == 0) { return 0; }
+  return f(n - 1) + 1;
+}
+int main(void) { return f(100000); }`)
+	m, err := ir.Lower(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ir.Interp(m, 0); err == nil || err.Error() != "ir: stack overflow in f" {
+		t.Fatalf("interpreter: err = %v, want its stack overflow", err)
+	}
+	res, err := compiler.Compile(prog, compiler.Config{Family: compiler.GC, Version: "trunk", Level: "O0"}, compiler.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Observe(res.Exe.Prog); err == nil || err.Error() != "vm: stack overflow in f" {
+		t.Fatalf("vm: err = %v, want %q", err, "vm: stack overflow in f")
 	}
 }
